@@ -23,7 +23,7 @@ use bimodal_obs::anatomy::{self, Component};
 use bimodal_obs::span::{self, SpanId};
 use bimodal_prng::SmallRng;
 
-use crate::common::RowMapper;
+use crate::common::{IndexLru, RowMapper};
 
 /// Ways per set.
 const WAYS: usize = 16;
@@ -86,8 +86,8 @@ pub struct AtCache {
     config: AtCacheConfig,
     n_sets: u64,
     sets: Vec<Vec<Line>>,
-    /// Tag-cache: set indices currently cached in SRAM, LRU order.
-    tag_cache: Vec<u64>,
+    /// Tag-cache: set indices currently cached in SRAM, in recency order.
+    tag_cache: IndexLru,
     tag_cache_cycles: Cycle,
     mapper: Option<RowMapper>,
     ledger: EccLedger,
@@ -99,7 +99,8 @@ impl AtCache {
     ///
     /// # Panics
     ///
-    /// Panics if the capacity holds no complete set.
+    /// Panics if the capacity holds no complete set, or so many sets
+    /// that their indices overflow `u32`.
     #[must_use]
     pub fn new(config: AtCacheConfig) -> Self {
         // Each set: 16 ways x 64 B data + one tag block, filling a 2 KB row
@@ -112,7 +113,7 @@ impl AtCache {
         AtCache {
             sets: vec![Vec::new(); usize::try_from(n_sets).expect("set count fits usize")],
             n_sets,
-            tag_cache: Vec::new(),
+            tag_cache: IndexLru::new(n_sets),
             tag_cache_cycles: sram.access_cycles(tag_cache_bytes),
             mapper: None,
             ledger: EccLedger::new(),
@@ -141,27 +142,27 @@ impl AtCache {
 
     /// Probes the SRAM tag cache for `set`; refreshes recency on hit.
     fn tag_cache_lookup(&mut self, set: u64) -> bool {
-        if let Some(pos) = self.tag_cache.iter().position(|&s| s == set) {
-            let s = self.tag_cache.remove(pos);
-            self.tag_cache.insert(0, s);
-            true
-        } else {
-            false
-        }
+        self.tag_cache.touch(set)
     }
 
-    /// Fills the tag cache with `set`'s group of `PG` neighbouring sets.
+    /// Fills the tag cache with `set`'s group of `PG` neighbouring sets:
+    /// absent sets enter at the MRU end in ascending order, cached ones
+    /// keep their recency, then the LRU end is trimmed to capacity.
     fn tag_cache_fill_group(&mut self, set: u64) {
         let pg = self.config.prefetch_group;
         let group_base = (set / pg) * pg;
         for s in group_base..(group_base + pg).min(self.n_sets) {
-            if !self.tag_cache.contains(&s) {
-                self.tag_cache.insert(0, s);
-            }
+            self.tag_cache.insert_front(s);
         }
         while self.tag_cache.len() > self.config.tag_cache_sets {
-            self.tag_cache.pop();
+            self.tag_cache.pop_back();
         }
+    }
+
+    /// The tag cache's set indices, most recently used first (the
+    /// checkpointed form).
+    fn tag_cache_order(&self) -> Vec<u64> {
+        self.tag_cache.iter().collect()
     }
 
     /// Bytes moved per DRAM tag lookup (target set + PG-group burst):
@@ -271,7 +272,7 @@ impl FaultTarget for AtCache {
             return false;
         }
         let pos = rng.gen_range(0..self.tag_cache.len());
-        self.tag_cache.remove(pos);
+        self.tag_cache.remove_nth(pos);
         self.stats.locator_heals += 1;
         true
     }
@@ -515,7 +516,7 @@ impl DramCacheScheme for AtCache {
         use bimodal_ckpt::Snapshot;
         w.u8(1);
         self.sets.save(w);
-        self.tag_cache.save(w);
+        self.tag_cache_order().save(w);
         self.ledger.save(w);
         self.stats.save(w);
     }
@@ -534,13 +535,26 @@ impl DramCacheScheme for AtCache {
                 self.sets.len()
             )));
         }
-        let tag_cache: Vec<u64> = Snapshot::load(r)?;
-        if tag_cache.len() > self.config.tag_cache_sets {
+        let order: Vec<u64> = Snapshot::load(r)?;
+        if order.len() > self.config.tag_cache_sets {
             return Err(r.corrupt(format!(
                 "tag cache holds {} sets, capacity is {}",
-                tag_cache.len(),
+                order.len(),
                 self.config.tag_cache_sets
             )));
+        }
+        // Rebuild LRU end first so the saved MRU-first order is restored.
+        let mut tag_cache = IndexLru::new(self.n_sets);
+        for &s in order.iter().rev() {
+            if s >= self.n_sets {
+                return Err(r.corrupt(format!(
+                    "tag cache names set {s}, configuration has {} sets",
+                    self.n_sets
+                )));
+            }
+            if !tag_cache.insert_front(s) {
+                return Err(r.corrupt(format!("tag cache names set {s} twice")));
+            }
         }
         self.sets = sets;
         self.tag_cache = tag_cache;
@@ -652,5 +666,172 @@ mod tests {
             now = r.complete;
         }
         assert!(c.tag_cache.len() <= c.config.tag_cache_sets);
+    }
+
+    /// The tag-cache rules over a plain `Vec` of set indices in
+    /// MRU-to-LRU order, scanned linearly: the reference `IndexLru` is
+    /// checked against.
+    struct VecTagCache {
+        order: Vec<u64>,
+        capacity: usize,
+        pg: u64,
+        n_sets: u64,
+    }
+
+    impl VecTagCache {
+        fn lookup(&mut self, set: u64) -> bool {
+            if let Some(pos) = self.order.iter().position(|&s| s == set) {
+                let s = self.order.remove(pos);
+                self.order.insert(0, s);
+                true
+            } else {
+                false
+            }
+        }
+
+        fn fill_group(&mut self, set: u64) {
+            let group_base = (set / self.pg) * self.pg;
+            for s in group_base..(group_base + self.pg).min(self.n_sets) {
+                if !self.order.contains(&s) {
+                    self.order.insert(0, s);
+                }
+            }
+            while self.order.len() > self.capacity {
+                self.order.pop();
+            }
+        }
+
+        fn locator_flip(&mut self, rng: &mut SmallRng) -> bool {
+            if self.order.is_empty() {
+                return false;
+            }
+            let pos = rng.gen_range(0..self.order.len());
+            self.order.remove(pos);
+            true
+        }
+    }
+
+    fn small_atcache(n_sets: u64, tag_cache_sets: usize) -> AtCache {
+        AtCache::new(AtCacheConfig {
+            cache_bytes: n_sets * 64 * WAYS as u64,
+            tag_cache_sets,
+            ..AtCacheConfig::for_cache_mb(1)
+        })
+    }
+
+    fn snapshot(c: &AtCache) -> Vec<u8> {
+        let mut w = bimodal_ckpt::SnapshotWriter::new();
+        DramCacheScheme::save_state(c, &mut w);
+        w.into_bytes()
+    }
+
+    /// A snapshot laid out as `save_state` writes it, with `tag_cache` as
+    /// the tag-cache section.
+    fn snapshot_with_tag_cache(c: &AtCache, tag_cache: &Vec<u64>) -> Vec<u8> {
+        use bimodal_ckpt::Snapshot;
+        let mut w = bimodal_ckpt::SnapshotWriter::new();
+        w.u8(1);
+        c.sets.save(&mut w);
+        tag_cache.save(&mut w);
+        c.ledger.save(&mut w);
+        c.stats.save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn tag_cache_matches_the_vec_oracle() {
+        // Capacities below PG, groups clipped at `n_sets` (13, 5, 100 are
+        // not multiples of 8), a single set, and a zero-entry tag cache.
+        let shapes = [
+            (1, 1),
+            (5, 3),
+            (13, 0),
+            (13, 3),
+            (13, 8),
+            (13, 64),
+            (64, 7),
+            (100, 20),
+            (1024, 64),
+        ];
+        for (n_sets, capacity) in shapes {
+            for seed in 0..4 {
+                let mut c = small_atcache(n_sets, capacity);
+                let mut oracle = VecTagCache {
+                    order: Vec::new(),
+                    capacity,
+                    pg: c.config.prefetch_group,
+                    n_sets,
+                };
+                let mut rng = SmallRng::seed_from_u64(seed * 7919 + n_sets);
+                for step in 0..1_500 {
+                    let set = rng.gen_range(0..n_sets);
+                    let op = rng.gen_range(0..16u32);
+                    match op {
+                        // Probe, and on a miss fill the group: the access path.
+                        0..=9 => {
+                            let hit = c.tag_cache_lookup(set);
+                            assert_eq!(hit, oracle.lookup(set), "probe of set {set}");
+                            if !hit {
+                                c.tag_cache_fill_group(set);
+                                oracle.fill_group(set);
+                            }
+                        }
+                        // A bare group fill, whether or not `set` is cached.
+                        10..=12 => {
+                            c.tag_cache_fill_group(set);
+                            oracle.fill_group(set);
+                        }
+                        // Parity-detected upset: drop the pos-th entry.
+                        13 | 14 => {
+                            let mut oracle_rng = rng.clone();
+                            assert_eq!(
+                                c.inject_locator_flip(&mut rng),
+                                oracle.locator_flip(&mut oracle_rng)
+                            );
+                            assert_eq!(rng, oracle_rng, "same draws");
+                        }
+                        // Checkpoint round trip, in the pre-existing format.
+                        _ => {
+                            let bytes = snapshot(&c);
+                            assert_eq!(bytes, snapshot_with_tag_cache(&c, &oracle.order));
+                            let mut resumed = small_atcache(n_sets, capacity);
+                            let mut r = bimodal_ckpt::SnapshotReader::new(&bytes, "scheme");
+                            resumed.restore_state(&mut r).expect("own snapshot loads");
+                            c = resumed;
+                        }
+                    }
+                    assert_eq!(
+                        c.tag_cache_order(),
+                        oracle.order,
+                        "n_sets {n_sets}, capacity {capacity}, seed {seed}, step {step}, op {op}"
+                    );
+                    assert_eq!(c.tag_cache.len(), oracle.order.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_out_of_range_and_duplicate_tag_cache_sets() {
+        let c = AtCache::with_capacity_mb(1);
+        for (tag_cache, want) in [
+            (vec![3, c.n_sets], "configuration has"),
+            (vec![5, 2, 5], "twice"),
+        ] {
+            let bytes = snapshot_with_tag_cache(&c, &tag_cache);
+            let mut fresh = AtCache::with_capacity_mb(1);
+            let mut r = bimodal_ckpt::SnapshotReader::new(&bytes, "scheme");
+            let err = fresh
+                .restore_state(&mut r)
+                .expect_err("crafted snapshot is rejected");
+            assert!(
+                matches!(&err, bimodal_ckpt::CkptError::Corrupt { detail, .. } if detail.contains(want)),
+                "{tag_cache:?}: {err}"
+            );
+            assert!(
+                fresh.tag_cache.is_empty(),
+                "a rejected restore applies nothing"
+            );
+        }
     }
 }

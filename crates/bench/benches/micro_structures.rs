@@ -1,17 +1,18 @@
 //! Microbenchmarks of the hot structures (criterion-free wall-clock).
 //!
 //! Reports nanoseconds per operation for the way locator, block size
-//! predictor, bi-modal set and DRAM bank engine — the inner loops of the
-//! simulator.
+//! predictor, bi-modal set, DRAM bank engine and a whole ATCache access —
+//! the inner loops of the simulator.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use bimodal_core::{
-    BiModalSet, BlockSize, BlockSizePredictor, CacheGeometry, FunctionalCache, FunctionalConfig,
-    PredictorConfig, WayLocator, WayLocatorConfig,
+    BiModalSet, BlockSize, BlockSizePredictor, CacheAccess, CacheGeometry, FunctionalCache,
+    FunctionalConfig, PredictorConfig, WayLocator, WayLocatorConfig,
 };
 use bimodal_dram::{DramConfig, DramModule, Location, Request};
+use bimodal_sim::{SchemeKind, SystemConfig};
 
 fn time<F: FnMut(u64) -> u64>(label: &str, iters: u64, mut f: F) {
     // Warm up.
@@ -34,7 +35,7 @@ fn time<F: FnMut(u64) -> u64>(label: &str, iters: u64, mut f: F) {
 fn main() {
     bimodal_bench::banner(
         "Microbenchmarks — simulator hot paths",
-        "way locator, predictor, set, functional cache and DRAM engine",
+        "way locator, predictor, set, functional cache, DRAM engine and ATCache",
     );
     let iters = 2_000_000;
 
@@ -84,4 +85,32 @@ fn main() {
         let loc = Location::new((i % 2) as u32, 0, (i % 8) as u32, (i * 31) % 1024);
         dram.access(Request::read(loc, 64, i * 20)).done
     });
+
+    // ATCache as the 16-core comparisons build it (32 MB, 1 K-set SRAM tag
+    // cache). Nine accesses in ten go to 256 hot sets the tag cache
+    // holds; the tenth goes to a random set and almost always misses it,
+    // close to the ~10% tag-cache miss rate of S1 runs.
+    let system = SystemConfig::sixteen_core().with_cache_mb(32);
+    let mut atcache = SchemeKind::AtCache.build(&system);
+    let mut mem = system.build_memory();
+    let n_sets = system.cache_bytes() / (64 * 16);
+    let mut now = 0;
+    time("atcache access (~10% tag-cache misses)", iters / 4, |i| {
+        let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let set = if h % 10 == 0 {
+            (h >> 20) % n_sets
+        } else {
+            (h >> 20) % 256
+        };
+        let tag = (h >> 44) % 8;
+        let out = atcache.access(CacheAccess::read((tag * n_sets + set) * 64, now), &mut mem);
+        now = out.complete;
+        u64::from(out.hit)
+    });
+    let s = atcache.stats();
+    println!(
+        "{:40} {:>8.1} %  tag-cache misses",
+        "",
+        100.0 * s.locator_misses as f64 / (s.locator_hits + s.locator_misses).max(1) as f64
+    );
 }

@@ -71,15 +71,24 @@ impl CacheGeometry {
     /// [`CacheGeometry::validate`]).
     #[must_use]
     pub fn paper_default(cache_bytes: u64) -> Self {
+        Self::try_paper_default(cache_bytes).expect("paper-default geometry is self-consistent")
+    }
+
+    /// [`CacheGeometry::paper_default`] for a capacity that may not suit
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated constraint (see [`CacheGeometry::validate`]),
+    /// e.g. a capacity that is not a power of two.
+    pub fn try_paper_default(cache_bytes: u64) -> Result<Self, String> {
         let g = CacheGeometry {
             cache_bytes,
             set_bytes: 2048,
             big_block: 512,
             small_block: 64,
         };
-        g.validate()
-            .expect("paper-default geometry is self-consistent");
-        g
+        g.validate().map(|()| g)
     }
 
     /// Validates internal consistency.

@@ -161,15 +161,21 @@ impl CampaignConfig {
     ///
     /// # Errors
     ///
-    /// [`CampaignError::Invalid`] for a zero access count;
+    /// [`CampaignError::Invalid`] when [`Simulation::check`] rejects the
+    /// run;
     /// [`CampaignError::Stalled`] when the watchdog aborts a run.
     pub fn run(&self, obs: &mut Observer) -> Result<CampaignReport, CampaignError> {
-        if self.accesses_per_core == 0 {
-            return Err(CampaignError::Invalid(
-                "accesses_per_core must be positive".into(),
-            ));
-        }
         let sim = Simulation::new(self.system.clone(), self.kind);
+        sim.check(self.accesses_per_core, self.mix.cores())
+            .map_err(CampaignError::Invalid)?;
+        if self.shadow_cadence > 0 && !self.system.cache_bytes().is_power_of_two() {
+            // The functional shadow model indexes its sets with a mask.
+            return Err(CampaignError::Invalid(format!(
+                "the shadow checker needs a power-of-two capacity, not {} MB \
+                 (a shadow cadence of 0 turns it off)",
+                self.system.cache_mb
+            )));
+        }
         let cores = self.mix.cores() as u64;
         let mut options = sim.engine_options(self.accesses_per_core);
         if let Some(wd) = self.watchdog {

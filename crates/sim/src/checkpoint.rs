@@ -72,6 +72,9 @@ impl CheckpointSpec {
 /// configuration mismatch).
 #[derive(Debug)]
 pub enum CkptRunError {
+    /// The run parameters are unusable (zero accesses, or access counts
+    /// that overflow the engine's counters).
+    Invalid(String),
     /// Checkpoint could not be written, read or applied.
     Ckpt(CkptError),
     /// The forward-progress watchdog aborted the run.
@@ -81,6 +84,7 @@ pub enum CkptRunError {
 impl std::fmt::Display for CkptRunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            CkptRunError::Invalid(msg) => write!(f, "invalid run: {msg}"),
             CkptRunError::Ckpt(e) => write!(f, "checkpoint error: {e}"),
             CkptRunError::Stall(d) => write!(f, "{d}"),
         }

@@ -120,6 +120,29 @@ impl EngineOptions {
         self.shards = shards;
         self
     }
+
+    /// Accesses each of `cores` cores issues (warm-up plus measured),
+    /// checked against the engine's `u64` counters.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the problem when the measured count is
+    /// zero, or when the per-core or all-core issue count overflows.
+    pub fn issue_per_core(&self, cores: usize) -> Result<u64, String> {
+        if self.accesses_per_core == 0 {
+            return Err("accesses_per_core must be positive".into());
+        }
+        self.warmup_per_core
+            .checked_add(self.accesses_per_core)
+            .filter(|per_core| per_core.checked_mul(cores as u64).is_some())
+            .ok_or_else(|| {
+                format!(
+                    "{} warm-up plus {} measured accesses on each of {cores} core(s) \
+                     overflow the access counters",
+                    self.warmup_per_core, self.accesses_per_core
+                )
+            })
+    }
 }
 
 /// Forward-progress watchdog limits.
@@ -401,7 +424,8 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `traces` is empty or the measured access count is zero.
+    /// Panics if `traces` is empty, or the access counts are unusable
+    /// (see [`EngineOptions::issue_per_core`]).
     pub fn try_run(
         &self,
         scheme: &mut dyn DramCacheScheme,
@@ -413,6 +437,7 @@ impl Engine {
         match self.run_loop(scheme, mem, traces, obs, hook, None, None) {
             Ok(report) => Ok(report),
             Err(CkptRunError::Stall(d)) => Err(d),
+            Err(CkptRunError::Invalid(msg)) => panic!("invalid run: {msg}"),
             Err(CkptRunError::Ckpt(e)) => {
                 unreachable!("checkpoint error without checkpointing requested: {e}")
             }
@@ -435,13 +460,15 @@ impl Engine {
     ///
     /// # Errors
     ///
+    /// [`CkptRunError::Invalid`] when the access counts are unusable (see
+    /// [`EngineOptions::issue_per_core`]);
     /// [`CkptRunError::Stall`] when an armed watchdog fires;
     /// [`CkptRunError::Ckpt`] when a checkpoint cannot be written or the
     /// resume snapshot is corrupt or mismatched.
     ///
     /// # Panics
     ///
-    /// Panics if `traces` is empty or the measured access count is zero.
+    /// Panics if `traces` is empty.
     #[allow(clippy::too_many_arguments)]
     pub fn try_run_checkpointed(
         &self,
@@ -468,10 +495,10 @@ impl Engine {
         resume: Option<&CkptFile>,
     ) -> Result<RunReport, CkptRunError> {
         assert!(!traces.is_empty(), "need at least one core trace");
-        assert!(
-            self.options.accesses_per_core > 0,
-            "need a positive access count"
-        );
+        let target = self
+            .options
+            .issue_per_core(traces.len())
+            .map_err(CkptRunError::Invalid)?;
         if (ckpt.is_some() || resume.is_some())
             && obs.is_enabled()
             && (obs.spans || obs.trace.is_some() || obs.journeys.is_some())
@@ -486,7 +513,6 @@ impl Engine {
             .into());
         }
         let warmup = self.options.warmup_per_core;
-        let target = warmup + self.options.accesses_per_core;
 
         // Span profiling is per-thread state: the engine owns begin/end so
         // component-level spans (locator, tag read, fills...) recorded deep

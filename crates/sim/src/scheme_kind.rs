@@ -4,7 +4,9 @@ use bimodal_baselines::{
     AlloyCache, AlloyConfig, AtCache, AtCacheConfig, FootprintCache, FootprintConfig, LohHillCache,
     LohHillConfig,
 };
-use bimodal_core::{BiModalCache, BiModalConfig, DramCacheScheme, FunctionalConfig, SramModel};
+use bimodal_core::{
+    BiModalCache, BiModalConfig, CacheGeometry, DramCacheScheme, FunctionalConfig, SramModel,
+};
 
 use crate::config::SystemConfig;
 
@@ -164,6 +166,27 @@ impl SchemeKind {
         }
     }
 
+    /// Checks this organization can be built with a `cache_mb` megabyte
+    /// cache: every scheme needs a positive capacity whose byte count
+    /// fits `u64`, and the Bi-Modal variants a power-of-two one.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the violated constraint.
+    pub fn check_capacity(&self, cache_mb: u64) -> Result<(), String> {
+        if cache_mb == 0 {
+            return Err("cache capacity must be positive".into());
+        }
+        let bytes = cache_mb
+            .checked_mul(1 << 20)
+            .ok_or_else(|| format!("a {cache_mb} MB cache overflows a byte count"))?;
+        if self.bimodal_variant().is_some() {
+            CacheGeometry::try_paper_default(bytes)
+                .map_err(|e| format!("{} needs a power-of-two capacity: {e}", self.name()))?;
+        }
+        Ok(())
+    }
+
     /// The functional shadow-model geometry for this organization, plus
     /// the conformance-region granularity (log2 bytes) a shadow checker
     /// should compare hits at.
@@ -192,6 +215,20 @@ impl SchemeKind {
         }
     }
 
+    /// How this Bi-Modal variant derives its configuration from the
+    /// paper default, or `None` for the baseline organizations.
+    fn bimodal_variant(&self) -> Option<fn(BiModalConfig) -> BiModalConfig> {
+        Some(match self {
+            SchemeKind::BiModal => |c| c,
+            SchemeKind::BiModalOnly => BiModalConfig::bimodal_only,
+            SchemeKind::WayLocatorOnly => BiModalConfig::way_locator_only,
+            SchemeKind::Fixed512 => BiModalConfig::fixed_big_blocks,
+            SchemeKind::BiModalColocatedMetadata => BiModalConfig::with_colocated_metadata,
+            SchemeKind::BiModalMissPredict => |c| c.with_miss_predictor(true),
+            _ => return None,
+        })
+    }
+
     /// The [`BiModalConfig`] this kind would run with, or `None` for the
     /// baseline organizations that are not Bi-Modal caches.
     ///
@@ -209,15 +246,7 @@ impl SchemeKind {
         // Scaled-down runs (shorter measurement windows) sample the
         // tracker more densely so the block size predictor still trains.
         let sample_interval = if system.footprint_scale < 0.5 { 8 } else { 32 };
-        let variant: fn(BiModalConfig) -> BiModalConfig = match self {
-            SchemeKind::BiModal => |c| c,
-            SchemeKind::BiModalOnly => BiModalConfig::bimodal_only,
-            SchemeKind::WayLocatorOnly => BiModalConfig::way_locator_only,
-            SchemeKind::Fixed512 => BiModalConfig::fixed_big_blocks,
-            SchemeKind::BiModalColocatedMetadata => BiModalConfig::with_colocated_metadata,
-            SchemeKind::BiModalMissPredict => |c| c.with_miss_predictor(true),
-            _ => return None,
-        };
+        let variant = self.bimodal_variant()?;
         Some(
             variant(
                 BiModalConfig::for_cache_mb(system.cache_mb)

@@ -47,6 +47,7 @@ impl From<bimodal_ckpt::CkptError> for SimError {
 impl From<crate::checkpoint::CkptRunError> for SimError {
     fn from(e: crate::checkpoint::CkptRunError) -> Self {
         match e {
+            crate::checkpoint::CkptRunError::Invalid(msg) => SimError::InvalidRun(msg),
             crate::checkpoint::CkptRunError::Ckpt(e) => SimError::Checkpoint(e),
             crate::checkpoint::CkptRunError::Stall(d) => SimError::Stalled(d),
         }
@@ -129,6 +130,20 @@ impl Simulation {
         o
     }
 
+    /// Checks that a run of `accesses_per_core` accesses on `cores` cores
+    /// can be built and driven: the access counts fit the engine's
+    /// counters and the scheme accepts the cache capacity. The run
+    /// methods call this before building anything.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first unusable parameter.
+    pub fn check(&self, accesses_per_core: u64, cores: usize) -> Result<(), String> {
+        self.engine_options(accesses_per_core)
+            .issue_per_core(cores)?;
+        self.kind.check_capacity(self.system.cache_mb)
+    }
+
     /// The adaptation epoch [`Simulation::build_scheme`] tunes the scheme
     /// with for a run of `accesses_per_core` accesses on `cores` cores.
     #[must_use]
@@ -172,7 +187,8 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidRun`] if the access count is zero.
+    /// Returns [`SimError::InvalidRun`] if [`Simulation::check`] rejects
+    /// the run.
     pub fn run_mix(
         &self,
         mix: &WorkloadMix,
@@ -192,18 +208,16 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidRun`] if the access count is zero.
+    /// Returns [`SimError::InvalidRun`] if [`Simulation::check`] rejects
+    /// the run.
     pub fn run_mix_observed(
         &self,
         mix: &WorkloadMix,
         accesses_per_core: u64,
         obs: &mut bimodal_obs::Observer,
     ) -> Result<RunReport, SimError> {
-        if accesses_per_core == 0 {
-            return Err(SimError::InvalidRun(
-                "accesses_per_core must be positive".into(),
-            ));
-        }
+        self.check(accesses_per_core, mix.cores())
+            .map_err(SimError::InvalidRun)?;
         let traces = self.traces_for(mix);
         let mut scheme = self.build_scheme(accesses_per_core, mix.cores() as u64);
         let mut mem = self.system.build_memory();
@@ -224,7 +238,8 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidRun`] if the access count is zero,
+    /// Returns [`SimError::InvalidRun`] if [`Simulation::check`] rejects
+    /// the run,
     /// [`SimError::Checkpoint`] when a snapshot cannot be written or the
     /// resume file is unreadable, corrupt, or from a different experiment,
     /// and [`SimError::Stalled`] when an armed watchdog fires.
@@ -236,11 +251,8 @@ impl Simulation {
         ckpt: Option<&crate::checkpoint::CheckpointSpec>,
         resume: Option<&std::path::Path>,
     ) -> Result<RunReport, SimError> {
-        if accesses_per_core == 0 {
-            return Err(SimError::InvalidRun(
-                "accesses_per_core must be positive".into(),
-            ));
-        }
+        self.check(accesses_per_core, mix.cores())
+            .map_err(SimError::InvalidRun)?;
         let snapshot = resume.map(crate::checkpoint::read_checkpoint).transpose()?;
         let traces = self.traces_for(mix);
         let mut scheme = self.build_scheme(accesses_per_core, mix.cores() as u64);
@@ -263,7 +275,8 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidRun`] if the access count is zero.
+    /// Returns [`SimError::InvalidRun`] if [`Simulation::check`] rejects
+    /// the run.
     pub fn run_antt(
         &self,
         mix: &WorkloadMix,
@@ -281,7 +294,8 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidRun`] if the access count is zero, or
+    /// Returns [`SimError::InvalidRun`] if [`Simulation::check`] rejects
+    /// the run, or
     /// the first (in canonical order) error any unit produced.
     pub fn run_antt_jobs(
         &self,
@@ -300,7 +314,8 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidRun`] if the access count is zero, or
+    /// Returns [`SimError::InvalidRun`] if [`Simulation::check`] rejects
+    /// the run, or
     /// the first (in canonical order) error any unit produced.
     pub fn run_antt_jobs_with_progress(
         &self,
@@ -309,11 +324,8 @@ impl Simulation {
         jobs: usize,
         progress: Option<&std::sync::Arc<bimodal_exec::FleetProgress>>,
     ) -> Result<AnttReport, SimError> {
-        if accesses_per_core == 0 {
-            return Err(SimError::InvalidRun(
-                "accesses_per_core must be positive".into(),
-            ));
-        }
+        self.check(accesses_per_core, mix.cores())
+            .map_err(SimError::InvalidRun)?;
         enum Unit {
             Multi,
             Solo(Box<bimodal_workloads::ProgramTrace>),
@@ -436,6 +448,23 @@ mod tests {
         assert_eq!(serial.scheme, sharded.scheme);
         assert_eq!(serial.core_cycles, sharded.core_cycles);
         assert_eq!(serial.cache_dram, sharded.cache_dram);
+    }
+
+    #[test]
+    fn check_rejects_unrunnable_parameters_before_building() {
+        let mix = WorkloadMix::quad("Q1").expect("known");
+        let sim = |mb, kind| Simulation::new(quick_system().with_cache_mb(mb), kind);
+        assert!(sim(4, SchemeKind::Alloy).check(500, 4).is_ok());
+        assert!(sim(3, SchemeKind::Alloy).check(500, 4).is_ok());
+        let overflow = sim(4, SchemeKind::Alloy).check(u64::MAX, 4).unwrap_err();
+        assert!(overflow.contains("overflow"), "{overflow}");
+        let zero = sim(0, SchemeKind::Alloy).check(500, 4).unwrap_err();
+        assert!(zero.contains("positive"), "{zero}");
+        let odd = sim(3, SchemeKind::BiModal).run_mix(&mix, 500).unwrap_err();
+        assert!(
+            matches!(&odd, SimError::InvalidRun(m) if m.contains("power-of-two")),
+            "{odd}"
+        );
     }
 
     #[test]

@@ -971,6 +971,14 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
     let (mix, base) = parse_mix(mix_name)?;
     let system = configured_system(base, flags)?;
     let n = num(flags, "accesses", 400_000)?;
+    // The functional model indexes its sets with a bit mask.
+    if !system
+        .cache_mb
+        .checked_mul(1 << 20)
+        .is_some_and(u64::is_power_of_two)
+    {
+        return Err("sweep needs a power-of-two --cache-mb".to_owned());
+    }
     let scaled = mix.clone().with_footprint_scale(system.footprint_scale);
     println!(
         "miss rate vs block size (functional, {} MB):",

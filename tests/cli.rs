@@ -579,6 +579,71 @@ fn shards_rejects_garbage() {
     }
 }
 
+/// Runs `bimodal args` and asserts a clean error exit: nonzero, not the
+/// panic exit code 101, no panic message, and `want` on stderr.
+fn assert_typed_error(args: &[&str], want: &str) {
+    let out = bimodal().args(args).output().expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{args:?} should be rejected");
+    assert_ne!(out.status.code(), Some(101), "{args:?} panicked: {err}");
+    assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
+    assert!(err.contains(want), "{args:?}: expected {want:?} in {err}");
+}
+
+#[test]
+fn overflowing_access_count_is_a_typed_error() {
+    assert_typed_error(
+        &[
+            "run",
+            "--mix",
+            "Q1",
+            "--scheme",
+            "alloy",
+            "--accesses",
+            "18446744073709551615",
+            "--warmup",
+            "10",
+        ],
+        "overflow the access counters",
+    );
+}
+
+#[test]
+fn zero_cache_mb_is_a_typed_error() {
+    assert_typed_error(
+        &[
+            "run",
+            "--mix",
+            "Q1",
+            "--scheme",
+            "alloy",
+            "--accesses",
+            "100",
+            "--cache-mb",
+            "0",
+        ],
+        "cache capacity must be positive",
+    );
+}
+
+#[test]
+fn non_power_of_two_bimodal_capacity_is_a_typed_error() {
+    assert_typed_error(
+        &[
+            "run",
+            "--mix",
+            "Q1",
+            "--scheme",
+            "bimodal",
+            "--accesses",
+            "100",
+            "--cache-mb",
+            "3",
+        ],
+        "power-of-two capacity",
+    );
+}
+
 #[test]
 fn inject_is_byte_identical_across_jobs() {
     assert_jobs_byte_identical(
