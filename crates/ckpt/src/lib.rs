@@ -23,8 +23,10 @@ use std::path::{Path, PathBuf};
 
 /// File magic, followed by a `u32` version.
 pub const MAGIC: &[u8; 12] = b"bimodal-ckpt";
-/// Current format version.
-pub const VERSION: u32 = 1;
+/// Current format version. Bumped whenever a section's payload layout
+/// changes, so an older snapshot fails as [`CkptError::BadVersion`]
+/// instead of misreading.
+pub const VERSION: u32 = 2;
 
 /// Why a checkpoint could not be read (or written).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -128,25 +128,6 @@ impl Bank {
     }
 }
 
-impl bimodal_ckpt::Snapshot for RowEvent {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        w.u8(match self {
-            RowEvent::Hit => 0,
-            RowEvent::Miss => 1,
-            RowEvent::Empty => 2,
-        });
-    }
-
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        match r.u8()? {
-            0 => Ok(RowEvent::Hit),
-            1 => Ok(RowEvent::Miss),
-            2 => Ok(RowEvent::Empty),
-            b => Err(r.corrupt(format!("invalid row event tag {b}"))),
-        }
-    }
-}
-
 impl bimodal_ckpt::Snapshot for Bank {
     fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
         self.open_row.save(w);

@@ -1,6 +1,4 @@
-//! The DRAM module: banks, buses, refresh, and FR-FCFS scheduling.
-
-use std::collections::VecDeque;
+//! The DRAM module: banks, buses, refresh, and open-page row state.
 
 use bimodal_obs::{anatomy, BandwidthTracker, TrafficClass};
 
@@ -21,27 +19,11 @@ pub struct OpenRowOutcome {
     pub row_event: RowEvent,
 }
 
-/// Identifier for a request submitted to the FR-FCFS queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ReqId(u64);
-
-#[derive(Debug)]
-struct Pending {
-    id: u64,
-    req: Request,
-}
-
 /// A DRAM module: a set of channels/ranks/banks behind per-channel data
-/// buses, scheduled with FR-FCFS (row hits first, then oldest first) under
-/// an open-page policy.
-///
-/// Two usage styles are supported:
-///
-/// * [`DramModule::access`] — resolve a single request immediately
-///   (first-come-first-served with respect to earlier calls).
-/// * [`DramModule::submit`] + [`DramModule::resolve`] — queue several
-///   outstanding requests and let the FR-FCFS scheduler pick the service
-///   order, as a real memory controller command queue would.
+/// buses. Each request is serviced on arrival ([`DramModule::access`]),
+/// in call order, against the banks' open-page row state: it waits for
+/// its bank, refresh, tFAW and its channel's bus, and there is no
+/// request queue to reorder.
 #[derive(Debug)]
 pub struct DramModule {
     config: DramConfig,
@@ -58,9 +40,6 @@ pub struct DramModule {
     rank_activates: Vec<([Cycle; 4], u8)>,
     bus_free_at: Vec<Cycle>,
     refresh_stalls: u64,
-    queue: VecDeque<Pending>,
-    done: Vec<(u64, Completion)>,
-    next_id: u64,
     /// Traffic class the next command is attributed to; set by the
     /// issuing scheme via [`DramModule::set_class`] before each access.
     class: TrafficClass,
@@ -97,9 +76,6 @@ impl DramModule {
             ],
             bus_free_at: vec![0; config.channels as usize],
             refresh_stalls: 0,
-            queue: VecDeque::new(),
-            done: Vec::new(),
-            next_id: 0,
             class: TrafficClass::Other,
             deferred_mode: false,
             bandwidth: BandwidthTracker::new(config.channels as usize, n_banks),
@@ -354,7 +330,7 @@ impl DramModule {
         }
     }
 
-    /// Services one request immediately (submit + resolve in one step).
+    /// Services one request on arrival.
     pub fn access(&mut self, req: Request) -> Completion {
         let idx = self.bank_index(req.loc);
         // Probe refresh at the time service could actually begin: a
@@ -380,66 +356,6 @@ impl DramModule {
             row_event: prep.event,
             ..completion
         }
-    }
-
-    /// Queues a request for FR-FCFS scheduling; resolve it with
-    /// [`DramModule::resolve`].
-    pub fn submit(&mut self, req: Request) -> ReqId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.queue.push_back(Pending { id, req });
-        ReqId(id)
-    }
-
-    /// Number of requests waiting in the scheduling queue.
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Resolves a previously submitted request, servicing queued requests
-    /// in FR-FCFS order (row hits first, oldest first) until the target has
-    /// been serviced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was never submitted or was already resolved and
-    /// retrieved.
-    pub fn resolve(&mut self, id: ReqId) -> Completion {
-        loop {
-            if let Some(pos) = self.done.iter().position(|(d, _)| *d == id.0) {
-                return self.done.swap_remove(pos).1;
-            }
-            let pick = self.pick_fr_fcfs();
-            let Some(pos) = pick else {
-                panic!("request {id:?} is not pending in the DRAM queue");
-            };
-            let pending = self.queue.remove(pos).expect("picked index is valid");
-            let completion = self.access(pending.req);
-            self.done.push((pending.id, completion));
-        }
-    }
-
-    /// FR-FCFS policy: among queued requests, prefer the oldest one whose
-    /// row is currently open in its bank; otherwise take the oldest.
-    fn pick_fr_fcfs(&self) -> Option<usize> {
-        if self.queue.is_empty() {
-            return None;
-        }
-        let mut best_hit: Option<(usize, Cycle)> = None;
-        let mut best_any: Option<(usize, Cycle)> = None;
-        for (i, p) in self.queue.iter().enumerate() {
-            let idx = self.bank_index(p.req.loc);
-            let arrival = p.req.arrival;
-            if self.banks[idx].would_hit(p.req.loc.row) && best_hit.is_none_or(|(_, a)| arrival < a)
-            {
-                best_hit = Some((i, arrival));
-            }
-            if best_any.is_none_or(|(_, a)| arrival < a) {
-                best_any = Some((i, arrival));
-            }
-        }
-        best_hit.or(best_any).map(|(i, _)| i)
     }
 
     /// Would a request to `loc` currently hit the row buffer?
@@ -492,8 +408,8 @@ impl DramModule {
         self.bandwidth.reset();
     }
 
-    /// Serializes the module's mutable state (banks, stats, queues,
-    /// bandwidth accounting). The geometry and timing configuration are
+    /// Serializes the module's mutable state (banks, stats, bandwidth
+    /// accounting). The geometry and timing configuration are
     /// not written: a checkpoint is restored into a module freshly built
     /// from the same experiment configuration.
     pub fn save_state(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
@@ -505,13 +421,6 @@ impl DramModule {
         self.rank_activates.save(w);
         self.bus_free_at.save(w);
         w.u64(self.refresh_stalls);
-        w.usize(self.queue.len());
-        for p in &self.queue {
-            w.u64(p.id);
-            p.req.save(w);
-        }
-        self.done.save(w);
-        w.u64(self.next_id);
         self.class.save(w);
         self.bandwidth.save(w);
     }
@@ -551,15 +460,6 @@ impl DramModule {
             )));
         }
         let refresh_stalls = r.u64()?;
-        let queue_len = r.bounded_len()?;
-        let mut queue = VecDeque::with_capacity(queue_len);
-        for _ in 0..queue_len {
-            let id = r.u64()?;
-            let req: Request = Snapshot::load(r)?;
-            queue.push_back(Pending { id, req });
-        }
-        let done: Vec<(u64, Completion)> = Snapshot::load(r)?;
-        let next_id = r.u64()?;
         let class: TrafficClass = Snapshot::load(r)?;
         let bandwidth: BandwidthTracker = Snapshot::load(r)?;
         if bandwidth.channels().len() != self.config.channels as usize
@@ -574,9 +474,6 @@ impl DramModule {
         self.rank_activates = rank_activates;
         self.bus_free_at = bus_free_at;
         self.refresh_stalls = refresh_stalls;
-        self.queue = queue;
-        self.done = done;
-        self.next_id = next_id;
         self.class = class;
         self.bandwidth = bandwidth;
         Ok(())
@@ -666,41 +563,6 @@ mod tests {
         // Row 5 open; a column access to row 6 must re-open transparently.
         let c = m.column_access(loc(0, 6), 64, Op::Read, 10_000);
         assert_eq!(c.row_event, RowEvent::Miss);
-    }
-
-    #[test]
-    fn fr_fcfs_prefers_row_hit_over_older_conflict() {
-        let mut m = DramModule::new(no_refresh_config());
-        // Open row 1 in bank 0.
-        m.access(Request::read(loc(0, 1), 64, 0));
-        // Older request conflicts (row 2), newer one hits (row 1).
-        let miss = m.submit(Request::read(loc(0, 2), 64, 10_000));
-        let hit = m.submit(Request::read(loc(0, 1), 64, 10_001));
-        let hit_done = m.resolve(hit);
-        let miss_done = m.resolve(miss);
-        assert_eq!(hit_done.row_event, RowEvent::Hit);
-        // The hit was serviced first even though it arrived later.
-        assert!(hit_done.done < miss_done.done);
-    }
-
-    #[test]
-    fn fr_fcfs_falls_back_to_oldest_first() {
-        let mut m = DramModule::new(no_refresh_config());
-        let a = m.submit(Request::read(loc(0, 1), 64, 100));
-        let b = m.submit(Request::read(loc(0, 2), 64, 50));
-        let ca = m.resolve(a);
-        let cb = m.resolve(b);
-        // b is older, so it went first.
-        assert!(cb.start <= ca.start);
-    }
-
-    #[test]
-    #[should_panic(expected = "not pending")]
-    fn resolving_unknown_request_panics() {
-        let mut m = DramModule::new(no_refresh_config());
-        let id = m.submit(Request::read(loc(0, 1), 64, 0));
-        let _ = m.resolve(id);
-        let _ = m.resolve(id); // second resolve: already retrieved
     }
 
     #[test]

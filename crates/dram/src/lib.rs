@@ -2,8 +2,8 @@
 //!
 //! This crate implements the memory substrate used by the Bi-Modal DRAM
 //! cache reproduction: a configurable DRAM module (channels, ranks, banks,
-//! row buffers) with open-page policy, FR-FCFS request scheduling, refresh,
-//! and data-bus occupancy, plus an off-chip main-memory wrapper with
+//! row buffers) with open-page policy, refresh, and data-bus occupancy;
+//! each request is serviced on arrival against the open-row state, plus an off-chip main-memory wrapper with
 //! row-rank-bank-mc-column address interleaving.
 //!
 //! The model is *transaction level*: each request is resolved into a

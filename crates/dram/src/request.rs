@@ -124,59 +124,6 @@ impl bimodal_ckpt::Snapshot for Location {
     }
 }
 
-impl bimodal_ckpt::Snapshot for Op {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        w.u8(match self {
-            Op::Read => 0,
-            Op::Write => 1,
-        });
-    }
-
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        match r.u8()? {
-            0 => Ok(Op::Read),
-            1 => Ok(Op::Write),
-            b => Err(r.corrupt(format!("invalid op tag {b}"))),
-        }
-    }
-}
-
-impl bimodal_ckpt::Snapshot for Request {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        self.loc.save(w);
-        w.u32(self.bytes);
-        self.op.save(w);
-        w.u64(self.arrival);
-    }
-
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        Ok(Request {
-            loc: bimodal_ckpt::Snapshot::load(r)?,
-            bytes: r.u32()?,
-            op: bimodal_ckpt::Snapshot::load(r)?,
-            arrival: r.u64()?,
-        })
-    }
-}
-
-impl bimodal_ckpt::Snapshot for Completion {
-    fn save(&self, w: &mut bimodal_ckpt::SnapshotWriter) {
-        w.u64(self.arrival);
-        w.u64(self.start);
-        w.u64(self.done);
-        self.row_event.save(w);
-    }
-
-    fn load(r: &mut bimodal_ckpt::SnapshotReader<'_>) -> Result<Self, bimodal_ckpt::CkptError> {
-        Ok(Completion {
-            arrival: r.u64()?,
-            start: r.u64()?,
-            done: r.u64()?,
-            row_event: bimodal_ckpt::Snapshot::load(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,7 +19,7 @@ use bimodal_obs::span::{self, SpanId};
 use bimodal_obs::{
     Counters, EventKind, MemoryBandwidth, Observer, RequestClass, SpanProfile, TraceEvent,
 };
-use bimodal_workloads::{Access, ProgramTrace};
+use bimodal_workloads::ProgramTrace;
 
 use crate::checkpoint::{section, CheckpointSpec, CkptRunError};
 use crate::llsc::{LlscCache, LlscConfig};
@@ -46,11 +46,6 @@ pub struct EngineOptions {
     /// stops advancing, [`Engine::try_run`] returns a structured
     /// [`StallDiagnostic`] instead of looping forever.
     pub watchdog: Option<WatchdogConfig>,
-    /// Trace-decode shards. With more than one, per-core access streams
-    /// are pre-decoded in blocks on a worker pool and consumed by the
-    /// timed loop in the exact order serial decode would produce, so
-    /// reports stay bit-identical to `shards = 1` by construction.
-    pub shards: u32,
 }
 
 impl EngineOptions {
@@ -65,7 +60,6 @@ impl EngineOptions {
             mlp: 1,
             llsc: None,
             watchdog: None,
-            shards: 1,
         }
     }
 
@@ -106,18 +100,6 @@ impl EngineOptions {
     #[must_use]
     pub fn with_watchdog(mut self, watchdog: WatchdogConfig) -> Self {
         self.watchdog = Some(watchdog);
-        self
-    }
-
-    /// Overrides the number of trace-decode shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        assert!(shards > 0, "need at least one decode shard");
-        self.shards = shards;
         self
     }
 
@@ -311,52 +293,6 @@ struct CoreState {
     frontier: Cycle,
     start_at: Option<Cycle>,
     finished_at: Option<Cycle>,
-    /// Pre-decoded accesses (sharded decode only), drained front to back.
-    buf: Vec<Access>,
-    buf_pos: usize,
-}
-
-/// Accesses decoded per core per sharded refill. Batching amortizes the
-/// worker-pool dispatch over thousands of timed-loop iterations; the
-/// decoded-but-unconsumed tail a run can leave behind is bounded by one
-/// block per core.
-const DECODE_BLOCK: usize = 4096;
-
-/// Tops up the decode buffer of every core running low, in one parallel
-/// dispatch over up to `shards` workers.
-///
-/// Triggered when the issuing core's buffer empties; topping up the
-/// other near-empty cores in the same dispatch keeps the pool busy and
-/// makes refills rare. The per-core access streams are independent, so
-/// decode order across cores cannot change what each stream contains —
-/// the timed loop still consumes exactly the serial sequence.
-fn refill_buffers(cores: &mut [CoreState], shards: usize) {
-    let _g = span::enter(SpanId::TraceDecode);
-    let mut targets: Vec<usize> = Vec::with_capacity(cores.len());
-    for (i, c) in cores.iter_mut().enumerate() {
-        if c.buf.len() - c.buf_pos < DECODE_BLOCK / 2 {
-            c.buf.drain(..c.buf_pos);
-            c.buf_pos = 0;
-            targets.push(i);
-        }
-    }
-    let work: Vec<(&mut ProgramTrace, usize)> = {
-        let mut t = targets.iter().copied().peekable();
-        cores
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| t.next_if_eq(i).is_some())
-            .map(|(_, c)| (&mut c.trace, DECODE_BLOCK - c.buf.len()))
-            .collect()
-    };
-    let blocks = bimodal_exec::map(shards, work, |(trace, n)| {
-        let mut out = Vec::new();
-        trace.next_block(n, &mut out);
-        out
-    });
-    for (&i, block) in targets.iter().zip(blocks) {
-        cores[i].buf.extend_from_slice(&block);
-    }
 }
 
 /// Drives one scheme over one set of per-core traces.
@@ -565,7 +501,6 @@ impl Engine {
         let mut llsc = self.options.llsc.map(LlscCache::new);
 
         let mlp = self.options.mlp as usize;
-        let shards = self.options.shards as usize;
         let mut cores: Vec<CoreState> = traces
             .into_iter()
             .map(|trace| CoreState {
@@ -576,8 +511,6 @@ impl Engine {
                 frontier: 0,
                 start_at: None,
                 finished_at: None,
-                buf: Vec::new(),
-                buf_pos: 0,
             })
             .collect();
         let mut stats_reset = warmup == 0;
@@ -647,15 +580,7 @@ impl Engine {
                 .min_by_key(|(i, c)| (c.next_issue, *i))
                 .expect("at least one active core");
             let now = cores[idx].next_issue;
-            let access = if shards > 1 {
-                if cores[idx].buf_pos == cores[idx].buf.len() {
-                    refill_buffers(&mut cores, shards);
-                }
-                let c = &mut cores[idx];
-                let a = c.buf[c.buf_pos];
-                c.buf_pos += 1;
-                a
-            } else {
+            let access = {
                 let _g = span::enter(SpanId::TraceDecode);
                 cores[idx].trace.next().expect("traces are endless")
             };
@@ -1048,16 +973,6 @@ fn save_run(
         w.u64(c.frontier);
         c.start_at.save(&mut w);
         c.finished_at.save(&mut w);
-        // The undrained decode lookahead (sharded decode only): the trace
-        // RNG has already advanced past these accesses, so a resumed run
-        // must replay them from the snapshot to stay bit-identical.
-        let ahead = &c.buf[c.buf_pos..];
-        w.usize(ahead.len());
-        for a in ahead {
-            w.u64(a.addr);
-            w.bool(a.is_write);
-            w.u64(a.gap);
-        }
     }
     file.put(section::ENGINE, w.into_bytes());
 
@@ -1157,21 +1072,6 @@ fn restore_run(
         c.frontier = r.u64()?;
         c.start_at = Snapshot::load(&mut r)?;
         c.finished_at = Snapshot::load(&mut r)?;
-        let ahead = r.usize()?;
-        if ahead > DECODE_BLOCK {
-            return Err(r.corrupt(format!(
-                "core has {ahead} pre-decoded accesses, refills never exceed {DECODE_BLOCK}"
-            )));
-        }
-        c.buf.clear();
-        c.buf_pos = 0;
-        for _ in 0..ahead {
-            c.buf.push(Access {
-                addr: r.u64()?,
-                is_write: r.bool()?,
-                gap: r.u64()?,
-            });
-        }
     }
 
     let mut r = file.section(section::TRACES)?;
@@ -1738,112 +1638,6 @@ mod tests {
             CkptRunError::Ckpt(CkptError::Mismatch { .. })
         ));
         assert!(!path.exists(), "no snapshot may be written");
-    }
-
-    #[test]
-    fn sharded_decode_is_bit_identical_to_serial() {
-        let (mut s, mut mem) = scheme();
-        let serial =
-            Engine::new(EngineOptions::measured(600)).run(&mut s, &mut mem, small_traces(3));
-        for shards in [2, 4] {
-            let (mut s2, mut mem2) = scheme();
-            let sharded = Engine::new(EngineOptions::measured(600).with_shards(shards)).run(
-                &mut s2,
-                &mut mem2,
-                small_traces(3),
-            );
-            assert_eq!(serial.scheme, sharded.scheme, "shards {shards}");
-            assert_eq!(serial.core_cycles, sharded.core_cycles, "shards {shards}");
-            assert_eq!(serial.cache_dram, sharded.cache_dram, "shards {shards}");
-            assert_eq!(serial.offchip, sharded.offchip, "shards {shards}");
-            assert_eq!(
-                serial.bandwidth.cache.class_totals, sharded.bandwidth.cache.class_totals,
-                "shards {shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_resume_is_bit_identical_to_uninterrupted() {
-        let path = ckpt_path("shard-resume");
-        let spec = CheckpointSpec::new(&path, 700).expect("positive cadence");
-        let options = EngineOptions::measured(600).with_shards(2);
-
-        let (mut s, mut mem) = scheme();
-        let reference = Engine::new(options).run(&mut s, &mut mem, small_traces(2));
-
-        let (mut s2, mut mem2) = scheme();
-        let _ = Engine::new(options)
-            .try_run_checkpointed(
-                &mut s2,
-                &mut mem2,
-                small_traces(2),
-                &mut Observer::disabled(),
-                &mut NoopHook,
-                Some(&spec),
-                None,
-            )
-            .expect("checkpointed run completes");
-
-        // The snapshot froze mid-block: the trace RNG had decoded ahead of
-        // the timed loop, so resuming exercises the lookahead replay.
-        let file = CkptFile::read(&path).expect("snapshot on disk");
-        let (mut s3, mut mem3) = scheme();
-        let resumed = Engine::new(options)
-            .try_run_checkpointed(
-                &mut s3,
-                &mut mem3,
-                small_traces(2),
-                &mut Observer::disabled(),
-                &mut NoopHook,
-                None,
-                Some(&file),
-            )
-            .expect("resumed run completes");
-        assert_eq!(reference.scheme, resumed.scheme);
-        assert_eq!(reference.core_cycles, resumed.core_cycles);
-        assert_eq!(reference.cache_dram, resumed.cache_dram);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(path.with_extension("ckpt.prev"));
-    }
-
-    #[test]
-    fn resume_rejects_a_shard_mismatch() {
-        let path = ckpt_path("shard-mismatch");
-        let spec = CheckpointSpec::new(&path, 500).expect("positive cadence");
-        let (mut s, mut mem) = scheme();
-        let _ = Engine::new(EngineOptions::measured(600).with_shards(2))
-            .try_run_checkpointed(
-                &mut s,
-                &mut mem,
-                small_traces(2),
-                &mut Observer::disabled(),
-                &mut NoopHook,
-                Some(&spec),
-                None,
-            )
-            .expect("checkpointed run completes");
-        let file = CkptFile::read(&path).expect("snapshot on disk");
-        // The lookahead a sharded snapshot carries has no meaning to a
-        // serial resume: the fingerprint must refuse the combination.
-        let (mut s2, mut mem2) = scheme();
-        let err = Engine::new(EngineOptions::measured(600))
-            .try_run_checkpointed(
-                &mut s2,
-                &mut mem2,
-                small_traces(2),
-                &mut Observer::disabled(),
-                &mut NoopHook,
-                None,
-                Some(&file),
-            )
-            .expect_err("shard mismatch must be rejected");
-        assert!(matches!(
-            err,
-            CkptRunError::Ckpt(CkptError::Mismatch { .. })
-        ));
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(path.with_extension("ckpt.prev"));
     }
 
     #[test]

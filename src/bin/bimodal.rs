@@ -16,6 +16,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+use bimodal::cli::{allowed_flags, BARE_FLAGS};
 use bimodal::exec::{FleetProgress, Manifest, RetryPolicy, UnitResult};
 use bimodal::faults::{CampaignConfig, CampaignReport, FaultRates};
 use bimodal::obs::{
@@ -36,12 +37,12 @@ fn usage() -> &'static str {
      \x20         [--backend B]\n\
      \x20         [--warmup N] [--mlp N] [--prefetch N[:bypass]] [--profile]\n\
      \x20         [--anatomy] [--journeys N]\n\
-     \x20         [--shards N] [--json FILE] [--trace-out FILE] [--epoch CYCLES]\n\
+     \x20         [--json FILE] [--trace-out FILE] [--epoch CYCLES]\n\
      \x20         [--heartbeat SECS] [--metrics-out FILE] [--metrics-format json|prom]\n\
      \x20         [--checkpoint FILE [--checkpoint-every N]] [--resume FILE]\n\
      \x20 compare --mix <M> [--accesses N] [--cache-mb C] [--seed K] [--jobs N]\n\
      \x20         [--backend B]\n\
-     \x20         [--warmup N] [--mlp N] [--prefetch N[:bypass]] [--shards N]\n\
+     \x20         [--warmup N] [--mlp N] [--prefetch N[:bypass]]\n\
      \x20         [--json FILE]\n\
      \x20         [--heartbeat SECS] [--metrics-out FILE] [--metrics-format json|prom]\n\
      \x20         [--manifest DIR] [--checkpoint FILE [--checkpoint-every N]]\n\
@@ -60,7 +61,7 @@ fn usage() -> &'static str {
      \x20         [--jobs N] [--json FILE] [--trace-out FILE]\n\
      \x20         [--metrics-out FILE] [--metrics-format json|prom]\n\
      \x20         [--manifest DIR] [--retries N] [--retry-backoff-ms MS]\n\
-     \x20 bench   [--quick] [--backend B] [--jobs N] [--shards N] [--min-speedup X] [--out FILE]\n\
+     \x20 bench   [--quick] [--backend B] [--jobs N] [--min-speedup X] [--out FILE]\n\
      \x20         [--history FILE] [--check-history] [--window N] [--max-regress PCT]\n\
      \x20 bandwidth --mix <M> [--backend B] [--scheme <S|all>] [--accesses N] [--cache-mb C]\n\
      \x20         [--seed K] [--jobs N] [--json FILE]\n\
@@ -83,10 +84,6 @@ fn usage() -> &'static str {
      parallelism:\n\
      \x20 --jobs N          worker threads for fanned runs (default: all cores;\n\
      \x20                   results are bit-identical for any N)\n\
-     \x20 --shards N        decode shards inside one run: per-core trace streams\n\
-     \x20                   are pre-decoded in blocks on N worker threads and\n\
-     \x20                   consumed in serial order, so reports are bit-identical\n\
-     \x20                   for any N (default 1; `auto` uses all cores)\n\
      \x20 --seeds N         inject: fan the campaign over N consecutive seeds\n\
      \n\
      crash safety:\n\
@@ -147,21 +144,6 @@ fn usage() -> &'static str {
      \x20        lohhill, atcache, footprint, bimodal-mp\n\
      \x20        (inject also accepts `all`: the five-scheme comparison set)"
 }
-
-/// Flags that stand alone (`--ecc`); an explicit value still works via
-/// `--flag=value`.
-const BARE_FLAGS: &[&str] = &[
-    "ecc",
-    "antt",
-    "no-watchdog",
-    "exact-tails",
-    "quick",
-    "stream",
-    "profile",
-    "anatomy",
-    "check-history",
-    "exact",
-];
 
 /// Parses `--flag value` / `--flag=value` pairs, rejecting flags not in
 /// `allowed`, duplicates, and flags without a value. Flags listed in
@@ -302,6 +284,9 @@ fn parse_prefetch(flags: &HashMap<String, String>) -> Result<Option<(u32, Prefet
     let n: u32 = n
         .parse()
         .map_err(|_| "--prefetch must be N or N:bypass".to_owned())?;
+    if n == 0 {
+        return Err("--prefetch depth must be at least 1".to_owned());
+    }
     let mode = match mode.to_ascii_lowercase().as_str() {
         "normal" => PrefetchMode::Normal,
         "bypass" => PrefetchMode::Bypass,
@@ -322,25 +307,12 @@ fn parse_jobs(flags: &HashMap<String, String>) -> Result<usize, String> {
     }
 }
 
-/// `--shards N` (intra-run decode shards); absent means 1 (serial
-/// decode), `auto` means the host's available parallelism.
-fn parse_shards(flags: &HashMap<String, String>) -> Result<u32, String> {
-    match flags.get("shards").map(String::as_str) {
-        None => Ok(1),
-        Some("auto") => Ok(u32::try_from(bimodal::exec::available_jobs()).unwrap_or(1)),
-        Some(v) => match v.parse::<u32>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err("--shards must be a positive number or 'auto'".to_owned()),
-        },
-    }
-}
-
 fn build_simulation(
     system: SystemConfig,
     kind: SchemeKind,
     flags: &HashMap<String, String>,
 ) -> Result<Simulation, String> {
-    let mut sim = Simulation::new(system, kind).with_shards(parse_shards(flags)?);
+    let mut sim = Simulation::new(system, kind);
     if let Some((n, mode)) = parse_prefetch(flags)? {
         sim = sim.with_prefetch(n, mode);
     }
@@ -447,10 +419,15 @@ fn parse_heartbeat(flags: &HashMap<String, String>) -> Result<Option<Duration>, 
     match flags.get("heartbeat") {
         None => Ok(None),
         Some(secs) => {
+            // A zero period would print one line per access.
             let secs: f64 = secs
                 .parse()
-                .map_err(|_| "--heartbeat must be seconds".to_owned())?;
-            Ok(Some(Duration::from_secs_f64(secs.max(0.0))))
+                .ok()
+                .filter(|s: &f64| *s > 0.0)
+                .ok_or("--heartbeat must be a positive number of seconds")?;
+            Duration::try_from_secs_f64(secs)
+                .map(Some)
+                .map_err(|_| "--heartbeat is too many seconds".to_owned())
         }
     }
 }
@@ -1538,7 +1515,6 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
     let opts = bimodal::selfbench::BenchOptions {
         quick: flag_bool(flags, "quick")?,
         jobs: parse_jobs(flags)?,
-        shards: parse_shards(flags)?,
         backend: match flags.get("backend") {
             Some(b) => BackendKind::parse(b)?,
             None => BackendKind::default(),
@@ -1584,19 +1560,6 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
             "{:18} {:>12} {:>10.3} {:>14.0}",
             s.scheme, s.accesses, s.secs, s.accesses_per_sec
         );
-    }
-    if !report.sharded_schemes.is_empty() {
-        println!();
-        println!(
-            "{:18} {:>12} {:>10} {:>14}   (--shards {})",
-            "scheme", "accesses", "secs", "accesses/sec", report.shards
-        );
-        for s in &report.sharded_schemes {
-            println!(
-                "{:18} {:>12} {:>10.3} {:>14.0}",
-                s.scheme, s.accesses, s.secs, s.accesses_per_sec
-            );
-        }
     }
     let path = flags
         .get("out")
@@ -2337,156 +2300,6 @@ fn anatomy_means(j: &Json) -> Option<Vec<(String, f64)>> {
         }
     }
     Some(out)
-}
-
-/// Flags each command accepts; anything else is rejected up front.
-fn allowed_flags(command: &str) -> &'static [&'static str] {
-    const RUN: &[&str] = &[
-        "mix",
-        "backend",
-        "scheme",
-        "accesses",
-        "cache-mb",
-        "seed",
-        "warmup",
-        "mlp",
-        "prefetch",
-        "shards",
-        "json",
-        "trace-out",
-        "stream",
-        "sample-every",
-        "epoch",
-        "heartbeat",
-        "exact-tails",
-        "profile",
-        "metrics-out",
-        "metrics-format",
-        "anatomy",
-        "journeys",
-        "checkpoint",
-        "checkpoint-every",
-        "resume",
-    ];
-    const INJECT: &[&str] = &[
-        "mix",
-        "backend",
-        "scheme",
-        "accesses",
-        "cache-mb",
-        "seed",
-        "seeds",
-        "jobs",
-        "warmup",
-        "mlp",
-        "metadata-rate",
-        "multi-bit",
-        "locator-rate",
-        "predictor-rate",
-        "dram-rate",
-        "ecc",
-        "antt",
-        "shadow-every",
-        "watchdog",
-        "no-watchdog",
-        "json",
-        "trace-out",
-        "sample-every",
-        "epoch",
-        "heartbeat",
-        "exact-tails",
-        "metrics-out",
-        "metrics-format",
-        "manifest",
-        "retries",
-        "retry-backoff-ms",
-        "checkpoint",
-        "checkpoint-every",
-        "resume",
-    ];
-    const COMPARE: &[&str] = &[
-        "mix",
-        "backend",
-        "accesses",
-        "cache-mb",
-        "seed",
-        "warmup",
-        "mlp",
-        "prefetch",
-        "shards",
-        "jobs",
-        "json",
-        "heartbeat",
-        "metrics-out",
-        "metrics-format",
-        "manifest",
-        "checkpoint",
-        "checkpoint-every",
-        "resume",
-    ];
-    const ANTT: &[&str] = &[
-        "mix",
-        "backend",
-        "scheme",
-        "accesses",
-        "cache-mb",
-        "seed",
-        "warmup",
-        "mlp",
-        "prefetch",
-        "jobs",
-        "json",
-        "heartbeat",
-    ];
-    const SWEEP: &[&str] = &[
-        "mix",
-        "backend",
-        "accesses",
-        "cache-mb",
-        "seed",
-        "jobs",
-        "json",
-        "heartbeat",
-        "manifest",
-    ];
-    const RECORD: &[&str] = &["program", "out", "n", "seed"];
-    const BENCH: &[&str] = &[
-        "quick",
-        "backend",
-        "jobs",
-        "shards",
-        "min-speedup",
-        "out",
-        "history",
-        "check-history",
-        "window",
-        "max-regress",
-    ];
-    const BANDWIDTH: &[&str] = &[
-        "mix", "backend", "scheme", "accesses", "cache-mb", "seed", "warmup", "mlp", "prefetch",
-        "jobs", "json",
-    ];
-    const LATENCY: &[&str] = &[
-        "mix", "backend", "scheme", "accesses", "cache-mb", "seed", "warmup", "mlp", "prefetch",
-        "jobs", "json",
-    ];
-    const EXPLAIN: &[&str] = &[
-        "mix", "backend", "scheme", "addr", "accesses", "cache-mb", "seed", "warmup", "mlp",
-        "prefetch",
-    ];
-    match command {
-        "run" => RUN,
-        "compare" => COMPARE,
-        "antt" => ANTT,
-        "sweep" => SWEEP,
-        "record" => RECORD,
-        "inject" => INJECT,
-        "bench" => BENCH,
-        "bandwidth" => BANDWIDTH,
-        "latency" => LATENCY,
-        "explain" => EXPLAIN,
-        _ => &[],
-    }
 }
 
 fn main() -> ExitCode {

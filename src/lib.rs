@@ -54,6 +54,7 @@ pub use bimodal_prng as prng;
 pub use bimodal_sim as sim;
 pub use bimodal_workloads as workloads;
 
+pub mod cli;
 pub mod selfbench;
 
 /// Convenient glob-import surface for examples and quick experiments.

@@ -242,34 +242,6 @@ fn every_scheme_resumes_byte_identically_from_a_mid_run_checkpoint() {
     }
 }
 
-#[test]
-fn every_scheme_is_byte_identical_under_sharded_decode() {
-    // The --shards contract: pipelined trace decode is an execution
-    // strategy, never a model change. Any shard count must reproduce the
-    // serial report byte for byte, for every scheme.
-    let mix = WorkloadMix::quad("Q1").expect("Q1 exists");
-    let n = 3_000u64;
-    for kind in all_schemes() {
-        let serial = Simulation::new(system(), kind)
-            .run_mix(&mix, n)
-            .expect("serial run")
-            .to_json()
-            .to_compact();
-        for shards in [2u32, 4] {
-            let sharded = Simulation::new(system(), kind)
-                .with_shards(shards)
-                .run_mix(&mix, n)
-                .expect("sharded run")
-                .to_json()
-                .to_compact();
-            assert_eq!(
-                sharded, serial,
-                "{kind}: --shards {shards} report differs from serial"
-            );
-        }
-    }
-}
-
 /// The memory-substrate refactor's hard contract: under the default
 /// `paper2014` backend, every scheme's `--json` report is byte-identical
 /// to the pre-refactor goldens in `tests/golden/`. The comparison runs
@@ -421,54 +393,6 @@ fn resuming_under_a_different_backend_is_a_typed_mismatch() {
     let mut prev = path.into_os_string();
     prev.push(".prev");
     let _ = std::fs::remove_file(prev);
-}
-
-#[test]
-fn every_scheme_resumes_byte_identically_under_sharding() {
-    // Checkpoint/resume and sharded decode compose: a snapshot taken
-    // mid-run with decode-ahead buffers in flight must restore into a
-    // report byte-identical to the uninterrupted serial run.
-    use bimodal::sim::CheckpointSpec;
-    let mix = WorkloadMix::quad("Q1").expect("Q1 exists");
-    let n = 3_000u64;
-    for (i, kind) in all_schemes().into_iter().enumerate() {
-        let reference = Simulation::new(system(), kind)
-            .run_mix(&mix, n)
-            .expect("reference run");
-        let path = std::env::temp_dir().join(format!(
-            "bimodal-conf-shard-ckpt-{i}-{}.bin",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        // 4 cores x 3000 accesses = 12000 issued; a 7000 cadence leaves
-        // the only snapshot mid-run with lookahead buffers non-empty.
-        let spec = CheckpointSpec::new(path.clone(), 7_000).expect("valid cadence");
-        let mut obs = Observer::disabled();
-        let checkpointed = Simulation::new(system(), kind)
-            .with_shards(2)
-            .run_mix_checkpointed(&mix, n, &mut obs, Some(&spec), None)
-            .expect("checkpointed sharded run");
-        assert_eq!(
-            checkpointed.to_json().to_compact(),
-            reference.to_json().to_compact(),
-            "{kind}: sharded checkpointing must not perturb the report"
-        );
-        assert!(path.exists(), "{kind}: a mid-run snapshot was written");
-        let mut obs = Observer::disabled();
-        let resumed = Simulation::new(system(), kind)
-            .with_shards(2)
-            .run_mix_checkpointed(&mix, n, &mut obs, None, Some(&path))
-            .expect("resumed sharded run");
-        assert_eq!(
-            resumed.to_json().to_compact(),
-            reference.to_json().to_compact(),
-            "{kind}: a sharded resume must report byte-identically to serial"
-        );
-        let _ = std::fs::remove_file(&path);
-        let mut prev = path.into_os_string();
-        prev.push(".prev");
-        let _ = std::fs::remove_file(prev);
-    }
 }
 
 /// Collecting anatomy must be a pure observer: every pre-existing

@@ -335,12 +335,15 @@ fn bit_flipped_checkpoints_never_panic_the_resume_path() {
 fn wrong_version_checkpoints_name_the_version() {
     use bimodal::ckpt::{CkptError, CkptFile, MAGIC};
     let (path, bytes) = pristine_checkpoint("version");
-    let mut mutated = bytes;
-    // The little-endian u32 version sits right after the magic.
-    mutated[MAGIC.len()] = 0x2A;
-    match CkptFile::from_bytes(&mutated) {
-        Err(CkptError::BadVersion { found }) => assert_eq!(found, 0x2A),
-        other => panic!("expected BadVersion, got {other:?}"),
+    // 1 is the previous layout: no reader for it remains.
+    for version in [1u8, 0x2A] {
+        let mut mutated = bytes.clone();
+        // The little-endian u32 version sits right after the magic.
+        mutated[MAGIC.len()] = version;
+        match CkptFile::from_bytes(&mutated) {
+            Err(CkptError::BadVersion { found }) => assert_eq!(found, u32::from(version)),
+            other => panic!("expected BadVersion for {version}, got {other:?}"),
+        }
     }
     let _ = std::fs::remove_file(&path);
 }
